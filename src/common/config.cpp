@@ -34,12 +34,6 @@ void ParseToken(Config& cfg, const std::string& token) {
 
 }  // namespace
 
-Config Config::FromArgs(int argc, const char* const* argv, int first) {
-  Config cfg;
-  for (int i = first; i < argc; ++i) ParseToken(cfg, argv[i]);
-  return cfg;
-}
-
 Config Config::FromFile(const std::string& path) {
   std::ifstream in(path);
   if (!in) {

@@ -18,13 +18,10 @@ class Config {
  public:
   Config() = default;
 
-  /// Parses a list of "key=value" tokens (e.g. argv tail). Throws
-  /// std::invalid_argument on malformed tokens (no '=' or an empty key) —
-  /// a mistyped flag must fail loudly, not silently become a bool.
-  static Config FromArgs(int argc, const char* const* argv, int first = 1);
-
   /// Parses newline/space separated "key=value" pairs. Lines starting with
-  /// '#' are comments. Throws std::invalid_argument on malformed input.
+  /// '#' are comments. Throws std::invalid_argument on malformed tokens
+  /// (no '=' or an empty key) — a typo must fail loudly, not silently
+  /// become a bool.
   static Config FromString(const std::string& text);
 
   /// Reads and parses a config file (FromString format). Throws

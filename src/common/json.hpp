@@ -72,6 +72,11 @@ class JsonWriter {
 /// machine-written documents this codebase produces itself (checkpoint
 /// manifests, bench result files). Numbers are doubles; object keys keep
 /// document order.
+/// Deepest array/object nesting JsonValue::Parse accepts. The parser
+/// recurses once per level, so without a bound a hostile document (a few
+/// MB of '[') overflows the stack; real documents here nest < 10 deep.
+inline constexpr int kJsonMaxDepth = 256;
+
 class JsonValue {
  public:
   enum class Kind : std::uint8_t {
@@ -84,7 +89,8 @@ class JsonValue {
   };
 
   /// Parses one JSON document (trailing whitespace allowed, nothing else).
-  /// Throws std::invalid_argument with an offset on malformed input.
+  /// Throws std::invalid_argument with an offset on malformed input,
+  /// including nesting deeper than kJsonMaxDepth.
   static JsonValue Parse(const std::string& text);
 
   Kind kind() const { return kind_; }

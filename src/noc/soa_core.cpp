@@ -1,6 +1,7 @@
 #include "noc/soa_core.hpp"
 
 #include <cassert>
+#include <string>
 
 #include "noc/audit.hpp"
 #include "noc/network.hpp"
@@ -8,6 +9,23 @@
 #include "noc/router.hpp"
 
 namespace gnoc {
+
+namespace {
+
+/// front_ready_ value of an input VC: its head flit's ready cycle, or
+/// kNeverCycle when the VC is empty.
+Cycle HeadReady(const VcBuffer& buf) {
+  return buf.empty() ? kNeverCycle : buf.Front().ready;
+}
+
+/// Due-plane value of a channel: its front item's delivery cycle, or
+/// kNeverCycle when the channel is empty.
+template <typename T>
+Cycle NextDue(const DelayLine<T>& ch) {
+  return ch.empty() ? kNeverCycle : ch.FrontDue();
+}
+
+}  // namespace
 
 SoaCore::SoaCore(Network& net) : net_(net) {
   num_ports_ = net_.topo_.radix();
@@ -65,7 +83,7 @@ void SoaCore::RebuildFromObjects() {
     Cycle* ready = front_ready_.data() + rec.vc_base;
     for (int idx = 0; idx < total_vcs_; ++idx) {
       const VcBuffer& buf = rt.input_vcs_[static_cast<std::size_t>(idx)].buffer;
-      ready[idx] = buf.empty() ? kNeverCycle : buf.Front().ready;
+      ready[idx] = HeadReady(buf);
       rec.buffered += static_cast<std::uint32_t>(buf.size());
     }
     buffered_total_ += rec.buffered;
@@ -73,14 +91,13 @@ void SoaCore::RebuildFromObjects() {
   flits_in_channels_ = 0;
   for (std::size_t i = 0; i < flit_due_.size(); ++i) {
     const FlitChannel& ch = net_.flit_links_[i]->channel;
-    flit_due_[i] = ch.empty() ? kNeverCycle : ch.FrontDue();
+    flit_due_[i] = NextDue(ch);
     flits_in_channels_ += ch.size();
   }
   for (std::size_t i = 0; i < credit_due_.size(); ++i) {
-    const CreditChannel& ch = net_.credit_links_[i]->channel;
-    credit_due_[i] = (credit_router_bound_[i] == 0 || ch.empty())
+    credit_due_[i] = credit_router_bound_[i] == 0
                          ? kNeverCycle
-                         : ch.FrontDue();
+                         : NextDue(net_.credit_links_[i]->channel);
   }
 }
 
@@ -117,7 +134,7 @@ void SoaCore::DeliverFlitLinks(Cycle now) {
       ++rec.buffered;
       ++buffered_total_;
     }
-    flit_due_[i] = link.channel.empty() ? kNeverCycle : link.channel.FrontDue();
+    flit_due_[i] = NextDue(link.channel);
   }
 }
 
@@ -130,16 +147,14 @@ void SoaCore::DeliverCreditLinks(Cycle now) {
     while (auto credit = link.channel.Pop(now)) {
       link.dst_router->AcceptCredit(link.dst_port, credit->vc);
     }
-    credit_due_[i] =
-        link.channel.empty() ? kNeverCycle : link.channel.FrontDue();
+    credit_due_[i] = NextDue(link.channel);
   }
 }
 
 void SoaCore::TickRouters(Cycle now) {
   for (std::size_t r = 0; r < routers_.size(); ++r) {
     const RouterRec& rec = routers_[r];
-    // Same skip rule Router::HasWork gives the active-set scheduler: no
-    // buffered flits and no uncommitted epoch counts means a Tick cannot
+    // No buffered flits and no uncommitted epoch counts means a Tick cannot
     // change state (recycle is an idempotent pure function of credit state
     // and is deferred safely; zero-count epoch updates never move
     // boundaries and are replayed by the catch-up loop).
@@ -352,7 +367,7 @@ void SoaCore::TickRouter(std::size_t r, Cycle now) {
     Router::InputVc& ivc = rt.input_vcs_[static_cast<std::size_t>(idx)];
     Flit flit = ivc.buffer.Pop();
     front_ready_[rec.vc_base + static_cast<std::uint32_t>(idx)] =
-        ivc.buffer.empty() ? kNeverCycle : ivc.buffer.Front().ready;
+        HeadReady(ivc.buffer);
     --rec.buffered;
     --buffered_total_;
     any_traversal = true;
@@ -399,6 +414,67 @@ void SoaCore::TickRouter(std::size_t r, Cycle now) {
   if (any_traversal) ++rt.stats_.busy_cycles;
 
   rt.stats_.buffered_flit_cycles += rec.buffered;
+}
+
+void SoaCore::CheckCoverage(Auditor& auditor, Cycle now) const {
+  const auto violate = [&](const std::string& what, std::size_t i,
+                           const std::string& plane, std::uint64_t got,
+                           std::uint64_t want) {
+    auditor.ReportViolation(
+        AuditInvariant::kSchedulerCoverage, now,
+        what + " " + std::to_string(i) + ": " + plane + " plane holds " +
+            std::to_string(got) + " but the objects give " +
+            std::to_string(want));
+  };
+  std::uint64_t buffered_total = 0;
+  for (std::size_t r = 0; r < routers_.size(); ++r) {
+    const RouterRec& rec = routers_[r];
+    const Cycle* ready = front_ready_.data() + rec.vc_base;
+    std::uint64_t buffered = 0;
+    for (int idx = 0; idx < total_vcs_; ++idx) {
+      const VcBuffer& buf =
+          rec.router->input_vcs_[static_cast<std::size_t>(idx)].buffer;
+      const Cycle want = HeadReady(buf);
+      if (ready[idx] != want) {
+        violate("router", r, "front_ready[vc " + std::to_string(idx) + "]",
+                ready[idx], want);
+      }
+      buffered += buf.size();
+    }
+    if (rec.buffered != buffered) {
+      violate("router", r, "buffered", rec.buffered, buffered);
+    }
+    buffered_total += buffered;
+  }
+  if (buffered_total_ != buffered_total) {
+    violate("network", 0, "buffered_total", buffered_total_, buffered_total);
+  }
+  std::uint64_t in_channels = 0;
+  for (std::size_t i = 0; i < flit_due_.size(); ++i) {
+    const FlitChannel& ch = net_.flit_links_[i]->channel;
+    const Cycle want = NextDue(ch);
+    if (flit_due_[i] != want) {
+      violate("flit link", i, "flit_due", flit_due_[i], want);
+    }
+    in_channels += ch.size();
+  }
+  if (flits_in_channels_ != in_channels) {
+    violate("network", 0, "flits_in_channels", flits_in_channels_,
+            in_channels);
+  }
+  for (std::size_t i = 0; i < credit_due_.size(); ++i) {
+    const Cycle want = credit_router_bound_[i] == 0
+                           ? kNeverCycle
+                           : NextDue(net_.credit_links_[i]->channel);
+    if (credit_due_[i] != want) {
+      violate("credit link", i, "credit_due", credit_due_[i], want);
+    }
+  }
+}
+
+void SoaCore::ForceSleepAll() {
+  flit_due_.assign(flit_due_.size(), kNeverCycle);
+  credit_due_.assign(credit_due_.size(), kNeverCycle);
 }
 
 bool SoaCore::NoFlitsInFlight() const {

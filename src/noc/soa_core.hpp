@@ -24,7 +24,7 @@
 // dense phase order exactly — flit links, credit links, routers, NICs,
 // each in ascending canonical index — reusing the object arbiters, route
 // LUTs, VC policy and stats counters, so results are bit-identical to
-// full/active-set/event. Flit payloads, credits, arbiter matrices and NIC
+// full. Flit payloads, credits, arbiter matrices and NIC
 // cursors stay in the objects: Save/Load, the auditor and every
 // introspection API read live state, and the only checkpoint-boundary
 // conversion needed is RebuildFromObjects() after Network::Load.
@@ -37,6 +37,7 @@
 
 namespace gnoc {
 
+class Auditor;
 class Network;
 class Router;
 
@@ -87,6 +88,18 @@ class SoaCore {
   std::size_t BufferedTotal() const {
     return static_cast<std::size_t>(buffered_total_);
   }
+
+  /// Scheduler coverage (AuditInvariant::kSchedulerCoverage): compares
+  /// every plane and counter against the value the objects give and
+  /// reports each mismatch, naming the router or link. A stale plane is a
+  /// lost wake — the skip rules would freeze that router or link — so it
+  /// is flagged before it can silently change results. Reports violations
+  /// only; AuditReport::checks is left to the snapshot sweep.
+  void CheckCoverage(Auditor& auditor, Cycle now) const;
+
+  /// Pins every due plane at kNeverCycle regardless of pending items — the
+  /// lost-wake bug CheckCoverage exists to catch (mutation tests only).
+  void ForceSleepAll();
 
  private:
   /// Wake-hook trampolines: every channel Push refreshes the link's due

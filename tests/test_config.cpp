@@ -3,14 +3,21 @@
 
 #include <stdexcept>
 
+#include "common/cli.hpp"
 #include "common/config.hpp"
 
 namespace gnoc {
 namespace {
 
+// An argv tail of key=value tokens becomes a Config, typed on read.
+// FlagSet::Parse is the one argv parser every driver uses.
 TEST(ConfigTest, FromArgsParsesKeyValues) {
+  FlagSet flags("prog", "test");
+  flags.AddInt("width", 4, "mesh width")
+      .AddDouble("rate", 0.1, "injection rate")
+      .AddBool("verbose", false, "chatty");
   const char* argv[] = {"prog", "width=8", "rate=0.25", "verbose=true"};
-  Config cfg = Config::FromArgs(4, argv);
+  const Config cfg = flags.Parse(4, argv);
   EXPECT_EQ(cfg.GetInt("width", 0), 8);
   EXPECT_DOUBLE_EQ(cfg.GetDouble("rate", 0.0), 0.25);
   EXPECT_TRUE(cfg.GetBool("verbose", false));
@@ -19,14 +26,20 @@ TEST(ConfigTest, FromArgsParsesKeyValues) {
 TEST(ConfigTest, FromArgsRejectsBareTokens) {
   // A token without '=' is a typo (e.g. a swallowed shell quote), not a
   // boolean flag; it must fail loudly instead of silently becoming true.
+  FlagSet flags("prog", "test");
+  flags.AddBool("verbose", false, "chatty");
   const char* bare[] = {"prog", "verbose"};
-  EXPECT_THROW(Config::FromArgs(2, bare), std::invalid_argument);
+  EXPECT_THROW(flags.Parse(2, bare), CliError);
   const char* empty_key[] = {"prog", "=8"};
-  EXPECT_THROW(Config::FromArgs(2, empty_key), std::invalid_argument);
+  EXPECT_THROW(flags.Parse(2, empty_key), CliError);
 }
 
 TEST(ConfigTest, FromStringRejectsBareTokens) {
+  // A token without '=' is a typo (e.g. a swallowed shell quote), not a
+  // boolean flag; it must fail loudly instead of silently becoming true.
   EXPECT_THROW(Config::FromString("width=8 oops\n"), std::invalid_argument);
+  EXPECT_THROW(Config::FromString("verbose"), std::invalid_argument);
+  EXPECT_THROW(Config::FromString("=8"), std::invalid_argument);
 }
 
 TEST(ConfigTest, FromStringSkipsCommentsAndBlanks) {
@@ -34,10 +47,12 @@ TEST(ConfigTest, FromStringSkipsCommentsAndBlanks) {
       "# a comment\n"
       "\n"
       "width=4 height=6\n"
-      "name=test\n");
+      "name=test rate=0.25 verbose=true\n");
   EXPECT_EQ(cfg.GetInt("width", 0), 4);
   EXPECT_EQ(cfg.GetInt("height", 0), 6);
   EXPECT_EQ(cfg.GetString("name"), "test");
+  EXPECT_DOUBLE_EQ(cfg.GetDouble("rate", 0.0), 0.25);
+  EXPECT_TRUE(cfg.GetBool("verbose", false));
 }
 
 TEST(ConfigTest, FallbacksWhenAbsent) {

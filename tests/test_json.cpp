@@ -1,4 +1,5 @@
-// Tests for the streaming JSON writer used by the sweep engine.
+// Tests for the streaming JSON writer used by the sweep engine and the
+// JSON reader behind job specs.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -140,6 +141,44 @@ TEST(JsonValueTest, AsObjectThrowsOnNonObjects) {
   EXPECT_THROW(JsonValue::Parse("42").AsObject(), std::invalid_argument);
   EXPECT_THROW(JsonValue::Parse("null").AsObject(), std::invalid_argument);
   EXPECT_TRUE(JsonValue::Parse("{}").AsObject().empty());
+}
+
+/// `depth` nested arrays around a 0: "[[...[0]...]]".
+std::string NestedArrays(int depth) {
+  return std::string(static_cast<std::size_t>(depth), '[') + "0" +
+         std::string(static_cast<std::size_t>(depth), ']');
+}
+
+// Hostile nesting must fail with the parser's typed error, not overflow
+// the stack: 2 MB of '[' (a job spec dropped into a server spool), and a
+// deep {"a": chain.
+TEST(JsonValueTest, RejectsNestingDeeperThanTheLimit) {
+  const std::string brackets(std::size_t{2} << 20, '[');
+  EXPECT_THROW(JsonValue::Parse(brackets), std::invalid_argument);
+  std::string chain;
+  for (int i = 0; i < 100000; ++i) chain += "{\"a\":";
+  EXPECT_THROW(JsonValue::Parse(chain), std::invalid_argument);
+  try {
+    JsonValue::Parse(NestedArrays(kJsonMaxDepth + 1));
+    ADD_FAILURE() << "one level past the limit parsed";
+  } catch (const std::invalid_argument& e) {
+    // The offset names the first bracket past the limit.
+    EXPECT_NE(std::string(e.what()).find(
+                  "offset " + std::to_string(kJsonMaxDepth)),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(JsonValueTest, ParsesNestingExactlyAtTheLimit) {
+  const JsonValue doc = JsonValue::Parse(NestedArrays(kJsonMaxDepth));
+  const JsonValue* v = &doc;
+  for (int i = 0; i < kJsonMaxDepth; ++i) {
+    ASSERT_TRUE(v->IsArray());
+    ASSERT_EQ(v->AsArray().size(), 1u);
+    v = &v->AsArray()[0];
+  }
+  EXPECT_DOUBLE_EQ(v->AsNumber(), 0.0);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // QoS traffic-class tests (DESIGN.md §15): spec parsing and the override
 // surface, token-bucket conformance at the NIC, hand-computed SLO
 // violation-window accounting, the reservation-based protocol-deadlock
-// escape, report serialization, fingerprint sensitivity, and four-way
+// escape, report serialization, fingerprint sensitivity, and full-vs-soa
 // scheduling bit-identity under a non-trivial QoS configuration.
 #include <gtest/gtest.h>
 
@@ -366,7 +366,7 @@ TEST(QosFingerprintTest, QosKnobsChangeTheConfigFingerprint) {
   EXPECT_NE(GpuConfigFingerprint(rated, workload), plain);
 }
 
-// --- four-way scheduling bit-identity under QoS -----------------------------
+// --- full-vs-soa scheduling bit-identity under QoS -------------------------
 
 /// Serializes everything observable about a QoS-regulated run under `mode`.
 std::string QosFingerprint(QosArbitration arb, SchedulingMode mode) {
@@ -434,25 +434,21 @@ std::string QosFingerprint(QosArbitration arb, SchedulingMode mode) {
   return out.str();
 }
 
-// Strict and WRR arbitration must give bit-identical results on all four
+// Strict and WRR arbitration must give bit-identical results on both
 // scheduling backends — the QosArbitrate helper is shared between the
 // object router and the SoA core precisely so they cannot drift.
-TEST(QosSchedulingBitIdentityTest, FourWayMatchesFullMode) {
+TEST(QosSchedulingBitIdentityTest, SoaMatchesFullMode) {
   for (QosArbitration arb :
        {QosArbitration::kStrict, QosArbitration::kWrr}) {
     const std::string full = QosFingerprint(arb, SchedulingMode::kFull);
-    EXPECT_EQ(full, QosFingerprint(arb, SchedulingMode::kActiveSet))
-        << "active-set diverged (arb=" << QosArbitrationName(arb) << ")";
-    EXPECT_EQ(full, QosFingerprint(arb, SchedulingMode::kEvent))
-        << "event diverged (arb=" << QosArbitrationName(arb) << ")";
     EXPECT_EQ(full, QosFingerprint(arb, SchedulingMode::kSoa))
         << "soa diverged (arb=" << QosArbitrationName(arb) << ")";
   }
 }
 
 // The unified run report of a QoS-enabled GPU run carries the class
-// identities and agrees with the deprecated per-subsystem shims.
-TEST(RunReportTest, UnifiedCollectorAgreesWithShims) {
+// identities next to the audit and telemetry sections.
+TEST(RunReportTest, UnifiedCollectorCarriesEverySection) {
   GpuConfig cfg = GpuConfig::Baseline();
   cfg.width = 4;
   cfg.height = 4;
@@ -476,11 +472,11 @@ TEST(RunReportTest, UnifiedCollectorAgreesWithShims) {
   EXPECT_GT(stats.qos.classes[0].packets_delivered, 0u);
 
   const RunReport report = gpu.fabric().CollectRunReport();
-  const AuditReport audit = gpu.fabric().CollectAuditReport();
-  const TelemetryReport telemetry = gpu.fabric().CollectTelemetry();
-  EXPECT_EQ(report.audit.checks, audit.checks);
-  EXPECT_EQ(report.audit.violations, audit.violations);
-  EXPECT_EQ(report.telemetry.sampled_until, telemetry.sampled_until);
+  EXPECT_TRUE(report.audit.enabled);
+  EXPECT_GT(report.audit.checks, 0u);
+  EXPECT_TRUE(report.audit.clean());
+  EXPECT_TRUE(report.telemetry.enabled);
+  EXPECT_GT(report.telemetry.sampled_until, 0u);
   EXPECT_EQ(report.qos.classes[0].name, "critical");
 }
 

@@ -1,8 +1,11 @@
-// Tests of active-set and event scheduling: bit-identical results vs
-// full-tick mode across the design space, O(active) cost on idle networks,
-// deadlock watchdog parity, scheduler-coverage auditing, snapshot/resume
-// under event scheduling, and the route-LUT fast path agreeing with the
-// analytic routing function.
+// Tests of the two scheduling backends: soa (the structure-of-arrays fast
+// path) against full (the reference), bit-identical across routing x
+// VC-policy x topology under uniform and adversarial traffic and over the
+// memory- and compute-bound GPU design space; the retired backend
+// names parsing as soa aliases; snapshot round-trips through the SoA plane
+// converter; deadlock watchdog parity; scheduler-coverage auditing of the
+// SoA planes; the idle-cost floor; and the route-LUT fast path agreeing
+// with the analytic routing function.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -27,14 +30,24 @@ namespace {
 
 TEST(SchedulingModeTest, NamesRoundTrip) {
   EXPECT_STREQ(SchedulingModeName(SchedulingMode::kFull), "full");
-  EXPECT_STREQ(SchedulingModeName(SchedulingMode::kActiveSet), "active-set");
-  EXPECT_STREQ(SchedulingModeName(SchedulingMode::kEvent), "event");
   EXPECT_EQ(ParseSchedulingMode("full"), SchedulingMode::kFull);
-  EXPECT_EQ(ParseSchedulingMode("active-set"), SchedulingMode::kActiveSet);
-  EXPECT_EQ(ParseSchedulingMode("ACTIVE"), SchedulingMode::kActiveSet);
-  EXPECT_EQ(ParseSchedulingMode("event"), SchedulingMode::kEvent);
-  EXPECT_EQ(ParseSchedulingMode("EVENT"), SchedulingMode::kEvent);
+  EXPECT_EQ(ParseSchedulingMode("FULL"), SchedulingMode::kFull);
   EXPECT_THROW(ParseSchedulingMode("lazy"), std::invalid_argument);
+}
+
+// Every name that selects soa. The names of the retired active-set and
+// event backends stay parseable, so old job specs and command lines run —
+// on soa, which gives the same results — while kSoa still prints as "soa".
+// The enum values hashed into config fingerprints do not move.
+TEST(SoaModeTest, NamesRoundTrip) {
+  EXPECT_STREQ(SchedulingModeName(SchedulingMode::kSoa), "soa");
+  EXPECT_EQ(ParseSchedulingMode("soa"), SchedulingMode::kSoa);
+  EXPECT_EQ(ParseSchedulingMode("SOA"), SchedulingMode::kSoa);
+  EXPECT_EQ(ParseSchedulingMode("event"), SchedulingMode::kSoa);
+  EXPECT_EQ(ParseSchedulingMode("active-set"), SchedulingMode::kSoa);
+  EXPECT_EQ(ParseSchedulingMode("ACTIVE"), SchedulingMode::kSoa);
+  EXPECT_EQ(static_cast<int>(SchedulingMode::kFull), 0);
+  EXPECT_EQ(static_cast<int>(SchedulingMode::kSoa), 3);
 }
 
 // A zero dynamic epoch would spin the router/NIC boundary catch-up loops
@@ -54,8 +67,9 @@ TEST(SchedulingModeTest, RejectsZeroDynamicEpoch) {
 // Serializes everything observable about a finished network run: summary
 // counters, per-class latency moments, audit counters and the full
 // telemetry CSV. Two runs are "bit-identical" iff these strings match.
-std::string NetworkFingerprint(NetworkConfig cfg, SchedulingMode mode,
-                               double injection_rate) {
+std::string NetworkFingerprint(
+    NetworkConfig cfg, SchedulingMode mode, double injection_rate,
+    TrafficPattern pattern = TrafficPattern::kUniformRandom) {
   cfg.scheduling = mode;
   cfg.audit = true;
   cfg.audit_interval = 4;
@@ -63,7 +77,7 @@ std::string NetworkFingerprint(NetworkConfig cfg, SchedulingMode mode,
   cfg.telemetry_interval = 50;
   Network net(cfg);
   OpenLoopConfig tcfg;
-  tcfg.pattern = TrafficPattern::kUniformRandom;
+  tcfg.pattern = pattern;
   tcfg.injection_rate = injection_rate;
   tcfg.packet_size = 4;
   OpenLoopTraffic traffic(net, tcfg);
@@ -99,10 +113,76 @@ std::string NetworkFingerprint(NetworkConfig cfg, SchedulingMode mode,
   return out.str();
 }
 
-// kFull, kActiveSet and kEvent must agree bit-for-bit — stats, audit
-// counters and telemetry windows — for every routing x VC-policy
-// combination, with the auditor and telemetry sampler running in all modes.
+// kFull and kSoa must agree bit-for-bit — stats, audit counters and
+// telemetry windows — for every routing x VC-policy combination, with the
+// auditor and telemetry sampler running in both modes.
 TEST(SchedulingBitIdentityTest, OpenLoopMatrixMatchesFullMode) {
+  const RoutingAlgorithm routings[] = {
+      RoutingAlgorithm::kXY, RoutingAlgorithm::kYX, RoutingAlgorithm::kXYYX};
+  const VcPolicyKind policies[] = {VcPolicyKind::kSplit,
+                                   VcPolicyKind::kAsymmetric,
+                                   VcPolicyKind::kDynamic};
+  for (RoutingAlgorithm routing : routings) {
+    for (VcPolicyKind policy : policies) {
+      NetworkConfig cfg;
+      cfg.width = 4;
+      cfg.height = 4;
+      cfg.num_vcs = 4;
+      cfg.vc_depth = 4;
+      cfg.routing = routing;
+      cfg.vc_policy = policy;
+      cfg.dynamic_epoch = 64;
+      EXPECT_EQ(NetworkFingerprint(cfg, SchedulingMode::kFull, 0.1),
+                NetworkFingerprint(cfg, SchedulingMode::kSoa, 0.1))
+          << RoutingName(routing) << "/" << VcPolicyName(policy);
+    }
+  }
+}
+
+// The equivalence must also hold on the non-mesh topologies: wrap links
+// (dateline VC halves in the SoA VA replica), concentration (multiple
+// local ports per router) and circulant skip links all change the plane
+// geometry.
+TEST(SchedulingBitIdentityTest, TopologyMatrixMatchesFullMode) {
+  const TopologyKind topologies[] = {TopologyKind::kTorus,
+                                     TopologyKind::kCMesh,
+                                     TopologyKind::kCirculant};
+  for (TopologyKind topology : topologies) {
+    NetworkConfig cfg;
+    cfg.topology = topology;
+    cfg.width = 4;
+    cfg.height = 4;
+    cfg.num_vcs = 4;
+    cfg.vc_depth = 4;
+    const std::string label = TopologyName(topology);
+    EXPECT_EQ(NetworkFingerprint(cfg, SchedulingMode::kFull, 0.1),
+              NetworkFingerprint(cfg, SchedulingMode::kSoa, 0.1))
+        << label;
+  }
+}
+
+// Near saturation almost every VC is occupied, so the eligibility planes
+// are dense and the skip heuristics almost never fire — the opposite
+// regime from the sparse matrix above.
+TEST(SchedulingBitIdentityTest, HighLoadMatchesFullMode) {
+  NetworkConfig cfg;
+  cfg.width = 4;
+  cfg.height = 4;
+  cfg.num_vcs = 4;
+  cfg.vc_depth = 4;
+  EXPECT_EQ(NetworkFingerprint(cfg, SchedulingMode::kFull, 0.4),
+            NetworkFingerprint(cfg, SchedulingMode::kSoa, 0.4));
+}
+
+// The same three regimes under adversarial permutation traffic instead of
+// uniform random: every source hammers one fixed destination, so a few
+// links and VCs stay saturated while the rest of the mesh idles — the mix
+// where soa skips most routers but must still wake exactly the busy ones.
+
+// Four ways to ask for a run: full, and soa under its own name and under
+// the two retired backend names that now select it. All four must agree
+// bit-for-bit over routing x VC policy under transpose traffic.
+TEST(SoaBitIdentityTest, FourWayOpenLoopMatrixAgrees) {
   const RoutingAlgorithm routings[] = {
       RoutingAlgorithm::kXY, RoutingAlgorithm::kYX, RoutingAlgorithm::kXYYX};
   const VcPolicyKind policies[] = {VcPolicyKind::kSplit,
@@ -120,22 +200,22 @@ TEST(SchedulingBitIdentityTest, OpenLoopMatrixMatchesFullMode) {
       cfg.dynamic_epoch = 64;
       const std::string label =
           std::string(RoutingName(routing)) + "/" + VcPolicyName(policy);
-      const std::string full =
-          NetworkFingerprint(cfg, SchedulingMode::kFull, 0.1);
-      const std::string active =
-          NetworkFingerprint(cfg, SchedulingMode::kActiveSet, 0.1);
-      const std::string event =
-          NetworkFingerprint(cfg, SchedulingMode::kEvent, 0.1);
-      EXPECT_EQ(full, active) << label;
-      EXPECT_EQ(full, event) << label;
+      const std::string full = NetworkFingerprint(
+          cfg, SchedulingMode::kFull, 0.1, TrafficPattern::kTranspose);
+      for (const char* name : {"soa", "active-set", "event"}) {
+        EXPECT_EQ(full,
+                  NetworkFingerprint(cfg, ParseSchedulingMode(name), 0.1,
+                                     TrafficPattern::kTranspose))
+            << label << " scheduling=" << name;
+      }
     }
   }
 }
 
-// The equivalence must also hold on the non-mesh topologies, whose extra
-// wrap links and concentration change the wake-site graph.
-TEST(SchedulingBitIdentityTest, TopologyMatrixMatchesFullMode) {
-  const TopologyKind topologies[] = {TopologyKind::kTorus,
+// Tornado traffic sends every packet half-way round its row: on the torus
+// each one crosses the dateline, on the circulant it rides the skip links.
+TEST(SoaBitIdentityTest, TopologyMatrixMatchesFullMode) {
+  const TopologyKind topologies[] = {TopologyKind::kMesh, TopologyKind::kTorus,
                                      TopologyKind::kCMesh,
                                      TopologyKind::kCirculant};
   for (TopologyKind topology : topologies) {
@@ -145,32 +225,27 @@ TEST(SchedulingBitIdentityTest, TopologyMatrixMatchesFullMode) {
     cfg.height = 4;
     cfg.num_vcs = 4;
     cfg.vc_depth = 4;
-    const std::string label = TopologyName(topology);
-    const std::string full = NetworkFingerprint(cfg, SchedulingMode::kFull, 0.1);
-    const std::string active =
-        NetworkFingerprint(cfg, SchedulingMode::kActiveSet, 0.1);
-    const std::string event =
-        NetworkFingerprint(cfg, SchedulingMode::kEvent, 0.1);
-    EXPECT_EQ(full, active) << label;
-    EXPECT_EQ(full, event) << label;
+    EXPECT_EQ(NetworkFingerprint(cfg, SchedulingMode::kFull, 0.1,
+                                 TrafficPattern::kTornado),
+              NetworkFingerprint(cfg, SchedulingMode::kSoa, 0.1,
+                                 TrafficPattern::kTornado))
+        << TopologyName(topology);
   }
 }
 
-// The equivalence must also hold near saturation, where almost everything
-// is active and the sweeps exercise mid-cycle re-wake paths.
-TEST(SchedulingBitIdentityTest, HighLoadMatchesFullMode) {
+// Bit-reverse traffic past saturation on an 8x8 mesh: deep queues behind
+// the bisection links while the corners drain, with enough routers that
+// the skip lists are long.
+TEST(SoaBitIdentityTest, HighLoadMatchesFullMode) {
   NetworkConfig cfg;
-  cfg.width = 4;
-  cfg.height = 4;
+  cfg.width = 8;
+  cfg.height = 8;
   cfg.num_vcs = 4;
   cfg.vc_depth = 4;
-  const std::string full = NetworkFingerprint(cfg, SchedulingMode::kFull, 0.4);
-  const std::string active =
-      NetworkFingerprint(cfg, SchedulingMode::kActiveSet, 0.4);
-  const std::string event =
-      NetworkFingerprint(cfg, SchedulingMode::kEvent, 0.4);
-  EXPECT_EQ(full, active);
-  EXPECT_EQ(full, event);
+  EXPECT_EQ(NetworkFingerprint(cfg, SchedulingMode::kFull, 0.4,
+                               TrafficPattern::kBitReverse),
+            NetworkFingerprint(cfg, SchedulingMode::kSoa, 0.4,
+                               TrafficPattern::kBitReverse));
 }
 
 // --- bit identity, full GPU model ------------------------------------------
@@ -209,10 +284,11 @@ void ExpectRunsEqual(const GpuRunStats& a, const GpuRunStats& b,
   EXPECT_EQ(ta.str(), tb.str()) << label;
 }
 
-// Every deadlock-safe VC policy x routing x placement combination of the
-// full GPU model must produce identical results under both schedulers,
-// with the auditor and telemetry enabled.
-TEST(SchedulingBitIdentityTest, GpuDesignSpaceMatchesFullMode) {
+// Runs every deadlock-safe VC policy x routing x placement combination of
+// the full GPU model on `workload` under full and under soa, with the
+// auditor and telemetry enabled, expects identical results and returns the
+// number of combinations compared.
+int CompareGpuDesignSpace(const char* workload) {
   const VcPolicyKind policies[] = {
       VcPolicyKind::kSplit, VcPolicyKind::kFullMonopolize,
       VcPolicyKind::kPartialMonopolize, VcPolicyKind::kAsymmetric,
@@ -231,21 +307,18 @@ TEST(SchedulingBitIdentityTest, GpuDesignSpaceMatchesFullMode) {
         cfg.audit_interval = 8;
         cfg.telemetry = true;
         cfg.telemetry_interval = 100;
-        const std::string label = std::string(McPlacementName(placement)) +
+        const std::string label = std::string(workload) + " " +
+                                  McPlacementName(placement) +
                                   "/" + RoutingName(routing) + "/" +
                                   VcPolicyName(policy);
         try {
           cfg.scheduling = SchedulingMode::kFull;
-          GpuSystem full(cfg, FindWorkload("BFS"));
+          GpuSystem full(cfg, FindWorkload(workload));
           const GpuRunStats a = full.Run(/*warmup=*/100, /*measure=*/300);
-          cfg.scheduling = SchedulingMode::kActiveSet;
-          GpuSystem active(cfg, FindWorkload("BFS"));
-          const GpuRunStats b = active.Run(/*warmup=*/100, /*measure=*/300);
+          cfg.scheduling = SchedulingMode::kSoa;
+          GpuSystem soa(cfg, FindWorkload(workload));
+          const GpuRunStats b = soa.Run(/*warmup=*/100, /*measure=*/300);
           ExpectRunsEqual(a, b, label);
-          cfg.scheduling = SchedulingMode::kEvent;
-          GpuSystem event(cfg, FindWorkload("BFS"));
-          const GpuRunStats c = event.Run(/*warmup=*/100, /*measure=*/300);
-          ExpectRunsEqual(a, c, label + " (event)");
           ++compared;
         } catch (const std::invalid_argument&) {
           // Deadlock-unsafe combination: correctly refused up front.
@@ -253,7 +326,20 @@ TEST(SchedulingBitIdentityTest, GpuDesignSpaceMatchesFullMode) {
       }
     }
   }
-  EXPECT_GE(compared, 12) << "design space unexpectedly small";
+  return compared;
+}
+
+// The memory-bound end of the design space: the MC reply links saturate.
+TEST(SchedulingBitIdentityTest, GpuDesignSpaceMatchesFullMode) {
+  EXPECT_GE(CompareGpuDesignSpace("BFS"), 12)
+      << "design space unexpectedly small";
+}
+
+// The compute-bound end: sparse traffic, so soa skips most routers on most
+// cycles and every wake-up has to land on the right one.
+TEST(SoaBitIdentityTest, GpuDesignSpaceMatchesFullMode) {
+  EXPECT_GE(CompareGpuDesignSpace("LPS"), 12)
+      << "design space unexpectedly small";
 }
 
 // The sweep engine forwards its scheduling override into every cell.
@@ -262,85 +348,145 @@ TEST(SchedulingBitIdentityTest, SweepOverrideMatchesFullMode) {
   SweepOptions opts;
   opts.lengths = RunLengths{100, 500};
   opts.threads = 1;
-  opts.scheduling = SchedulingMode::kActiveSet;
-  const SweepResult active =
-      RunSweep({scheme}, {FindWorkload("KMN")}, opts);
-  opts.scheduling = SchedulingMode::kEvent;
-  const SweepResult event = RunSweep({scheme}, {FindWorkload("KMN")}, opts);
+  opts.scheduling = SchedulingMode::kSoa;
+  const SweepResult soa = RunSweep({scheme}, {FindWorkload("KMN")}, opts);
   opts.scheduling = SchedulingMode::kFull;
   const SweepResult full = RunSweep({scheme}, {FindWorkload("KMN")}, opts);
-  ExpectRunsEqual(full.Get("baseline", "KMN"), active.Get("baseline", "KMN"),
+  ExpectRunsEqual(full.Get("baseline", "KMN"), soa.Get("baseline", "KMN"),
                   "sweep override");
-  ExpectRunsEqual(full.Get("baseline", "KMN"), event.Get("baseline", "KMN"),
-                  "sweep override (event)");
 }
 
-// --- O(active) cost --------------------------------------------------------
+// --- snapshot round-trip through the SoA converter -------------------------
 
-// An idle network must cost nothing per cycle beyond the empty dirty-list
-// sweeps: the component step counter stays at zero.
-TEST(SchedulingCostTest, IdleNetworkTicksNoComponents) {
+// Saving mid-run from an SoA-mode network and restoring into a fresh one
+// must resume bit-identically. The snapshot format carries only object
+// state, no SoA planes; the restore path must rebuild every SoA
+// plane from the loaded objects (RebuildFromObjects), including front-ready
+// caches for flits parked mid-VC and due caches for flits mid-channel.
+TEST(SoaSnapshotTest, SoaModeResumesBitIdentically) {
   NetworkConfig cfg;
-  cfg.scheduling = SchedulingMode::kActiveSet;
-  Network net(cfg);
-  for (int c = 0; c < 1000; ++c) net.Tick();
-  EXPECT_EQ(net.TickSteps(), 0u);
+  cfg.width = 4;
+  cfg.height = 4;
+  cfg.num_vcs = 4;
+  cfg.vc_depth = 4;
+  cfg.vc_policy = VcPolicyKind::kDynamic;
+  cfg.dynamic_epoch = 64;
+  cfg.scheduling = SchedulingMode::kSoa;
 
-  // Event mode schedules zero wakes on an idle 8x8 network: time advances
-  // without a single component tick.
-  cfg.scheduling = SchedulingMode::kEvent;
-  Network event(cfg);
-  for (int c = 0; c < 1000; ++c) event.Tick();
-  EXPECT_EQ(event.TickSteps(), 0u);
-  EXPECT_EQ(event.now(), 1000u);
-
-  cfg.scheduling = SchedulingMode::kFull;
-  Network full(cfg);
-  for (int c = 0; c < 1000; ++c) full.Tick();
-  // Full mode visits every router, NIC and channel every cycle.
-  EXPECT_GE(full.TickSteps(), 1000u * 128u);
-}
-
-// A single packet wakes only the components on its path; the step count
-// stays far below the full-tick bill for the same run.
-std::uint64_t SparseTrafficSteps(SchedulingMode mode) {
-  NetworkConfig cfg;
-  cfg.scheduling = mode;
-  Network net(cfg);
   struct Sink : PacketSink {
     bool Accept(const Packet&, Cycle) override { return true; }
   } sink;
-  for (NodeId n = 0; n < net.num_nodes(); ++n) net.SetSink(n, &sink);
-  Packet p;
-  p.src = 0;
-  p.dst = net.num_nodes() - 1;
-  p.type = PacketType::kReadRequest;
-  p.num_flits = 2;
-  EXPECT_TRUE(net.Inject(p));
-  EXPECT_TRUE(net.Drain(1000));
-  const std::uint64_t steps = net.TickSteps();
-  EXPECT_GT(steps, 0u);
-  // Full mode would have stepped all ~384 components x ~30+ cycles.
-  EXPECT_LT(steps, net.now() * 128u / 4u);
-  return steps;
+  const auto make_net = [&] {
+    auto net = std::make_unique<Network>(cfg);
+    for (NodeId n = 0; n < net->num_nodes(); ++n) net->SetSink(n, &sink);
+    return net;
+  };
+  // Deterministic all-to-all burst: plenty of contention mid-flight.
+  const auto inject_burst = [](Network& net) {
+    for (NodeId n = 0; n < net.num_nodes(); ++n) {
+      Packet p;
+      p.src = n;
+      p.dst = net.num_nodes() - 1 - n;
+      if (p.dst == p.src) continue;
+      p.type = PacketType::kReadRequest;
+      p.num_flits = 4;
+      ASSERT_TRUE(net.Inject(p));
+    }
+  };
+  const auto fingerprint = [](Network& net) {
+    Serializer out;
+    net.Save(out);
+    return out.TakeBytes();
+  };
+
+  // Uninterrupted run: burst, then 500 cycles (drains and then idles over
+  // several dynamic-epoch boundaries).
+  auto plain = make_net();
+  inject_burst(*plain);
+  for (int c = 0; c < 500; ++c) plain->Tick();
+
+  // Interrupted run: snapshot at cycle 10 while flits are in flight,
+  // restore into a fresh SoA-mode network, replay the remaining cycles.
+  auto first = make_net();
+  inject_burst(*first);
+  for (int c = 0; c < 10; ++c) first->Tick();
+  ASSERT_GT(first->FlitsInFlight(), 0u) << "snapshot caught an idle instant";
+  Serializer s;
+  first->Save(s);
+
+  auto second = make_net();
+  Deserializer d(s.bytes());
+  second->Load(d);
+  d.Finish();
+  EXPECT_GT(second->FlitsInFlight(), 0u);
+  for (int c = 0; c < 490; ++c) second->Tick();
+
+  EXPECT_EQ(fingerprint(*plain), fingerprint(*second));
 }
 
-TEST(SchedulingCostTest, SparseTrafficTicksFewComponents) {
-  const std::uint64_t active_steps =
-      SparseTrafficSteps(SchedulingMode::kActiveSet);
-  // Event mode only visits components at their scheduled wakes, so it never
-  // does more work than the dirty-list sweep on the same traffic.
-  const std::uint64_t event_steps =
-      SparseTrafficSteps(SchedulingMode::kEvent);
-  EXPECT_LE(event_steps, active_steps);
+// The snapshot bytes themselves are mode-independent object state: a
+// full-mode network's mid-flight snapshot must restore into an SoA-mode
+// network and drain to the same final summary the full-mode run reaches.
+TEST(SoaSnapshotTest, FullModeSnapshotRestoresIntoSoaMode) {
+  NetworkConfig cfg;
+  cfg.width = 4;
+  cfg.height = 4;
+  cfg.num_vcs = 4;
+  cfg.vc_depth = 4;
+
+  struct Sink : PacketSink {
+    bool Accept(const Packet&, Cycle) override { return true; }
+  } sink;
+  const auto make_net = [&](SchedulingMode mode) {
+    NetworkConfig c = cfg;
+    c.scheduling = mode;
+    auto net = std::make_unique<Network>(c);
+    for (NodeId n = 0; n < net->num_nodes(); ++n) net->SetSink(n, &sink);
+    return net;
+  };
+  const auto summarize = [](Network& net) {
+    std::ostringstream out;
+    out.precision(17);
+    const NetworkSummary s = net.Summarize();
+    out << net.now() << ' ' << net.FlitsInFlight() << ' '
+        << s.flits_forwarded;
+    for (int c = 0; c < kNumClasses; ++c) {
+      const auto ci = static_cast<std::size_t>(c);
+      out << ' ' << s.packets_ejected[ci] << ' '
+          << s.packet_latency[ci].mean();
+    }
+    return out.str();
+  };
+
+  auto full = make_net(SchedulingMode::kFull);
+  for (NodeId n = 0; n < full->num_nodes(); ++n) {
+    Packet p;
+    p.src = n;
+    p.dst = full->num_nodes() - 1 - n;
+    if (p.dst == p.src) continue;
+    p.type = PacketType::kReadRequest;
+    p.num_flits = 4;
+    ASSERT_TRUE(full->Inject(p));
+  }
+  for (int c = 0; c < 10; ++c) full->Tick();
+  ASSERT_GT(full->FlitsInFlight(), 0u);
+  Serializer s;
+  full->Save(s);
+  for (int c = 0; c < 490; ++c) full->Tick();
+
+  auto soa = make_net(SchedulingMode::kSoa);
+  Deserializer d(s.bytes());
+  soa->Load(d);
+  d.Finish();
+  EXPECT_GT(soa->FlitsInFlight(), 0u);
+  for (int c = 0; c < 490; ++c) soa->Tick();
+  EXPECT_EQ(summarize(*full), summarize(*soa));
 }
 
 // --- watchdog parity -------------------------------------------------------
 
-// A sink that never accepts wedges the network; the watchdog must fire in
-// active-set mode too (all components asleep + flits in flight is exactly
-// the case a naive active-set watchdog would miss), and at the same cycle
-// as in full mode.
+// The SoA tick must feed the deadlock watchdog the same idle/progress
+// signal as full mode: a wedged network is declared dead at the same cycle.
 Cycle DeadlockCycle(SchedulingMode mode) {
   NetworkConfig cfg;
   cfg.width = 4;
@@ -365,21 +511,14 @@ Cycle DeadlockCycle(SchedulingMode mode) {
   return 0;  // never fired
 }
 
-TEST(SchedulingWatchdogTest, FiresUnderActiveSetAtTheSameCycle) {
+TEST(SoaWatchdogTest, FiresAtTheSameCycleAsFullMode) {
   const Cycle full = DeadlockCycle(SchedulingMode::kFull);
-  const Cycle active = DeadlockCycle(SchedulingMode::kActiveSet);
+  const Cycle soa = DeadlockCycle(SchedulingMode::kSoa);
   ASSERT_GT(full, 0u) << "watchdog never fired in full mode";
-  EXPECT_EQ(full, active);
+  EXPECT_EQ(full, soa);
 }
 
-TEST(SchedulingWatchdogTest, FiresUnderEventAtTheSameCycle) {
-  const Cycle full = DeadlockCycle(SchedulingMode::kFull);
-  const Cycle event = DeadlockCycle(SchedulingMode::kEvent);
-  ASSERT_GT(full, 0u) << "watchdog never fired in full mode";
-  EXPECT_EQ(full, event);
-}
-
-// Satellite regression (ISSUE 7): a snapshot taken mid-stall must restore
+// A snapshot taken mid-stall must restore
 // the watchdog's baseline exactly, so a resumed run neither trips a
 // spurious deadlock (baseline too old) nor masks the real one (baseline
 // reset to the restore cycle). The resumed network must declare deadlock
@@ -438,14 +577,13 @@ TEST(SchedulingWatchdogTest, CheckpointMidStallKeepsDeadlockCycle) {
 
 // --- scheduler-coverage invariant ------------------------------------------
 
-// Knocking every component off the scheduler (dirty lists or event queue)
-// while flits are in flight is a scheduler bug by construction; the
-// auditor's coverage sweep must report it in both skipping modes.
-void ExpectForceSleepTripsCoverage(SchedulingMode mode) {
+// Pinning every SoA due plane at "never" while flits are in flight is a
+// lost wake by construction; the auditor's coverage sweep must report it.
+TEST(SchedulingCoverageTest, ForceSleepTripsCoverageInvariant) {
   NetworkConfig cfg;
   cfg.width = 4;
   cfg.height = 4;
-  cfg.scheduling = mode;
+  cfg.scheduling = SchedulingMode::kSoa;
   cfg.audit = true;
   cfg.audit_interval = 1;
   Network net(cfg);
@@ -467,120 +605,66 @@ void ExpectForceSleepTripsCoverage(SchedulingMode mode) {
   EXPECT_GT(
       r.by_invariant[static_cast<std::size_t>(
           AuditInvariant::kSchedulerCoverage)],
-      0u)
-      << SchedulingModeName(mode);
-  EXPECT_FALSE(r.clean()) << SchedulingModeName(mode);
+      0u);
+  EXPECT_FALSE(r.clean());
+  ASSERT_FALSE(r.samples.empty());
+  EXPECT_NE(r.samples[0].detail.find("link"), std::string::npos)
+      << r.samples[0].detail;
   EXPECT_STREQ(AuditInvariantName(AuditInvariant::kSchedulerCoverage),
                "scheduler-coverage");
 }
 
-TEST(SchedulingCoverageTest, ForceSleepTripsCoverageInvariant) {
-  ExpectForceSleepTripsCoverage(SchedulingMode::kActiveSet);
-}
-
-TEST(SchedulingCoverageTest, ForceSleepTripsCoverageInvariantUnderEvent) {
-  ExpectForceSleepTripsCoverage(SchedulingMode::kEvent);
-}
-
 // A clean run must never trip the coverage invariant: every wake hook is
-// in place, so the sweep finds nothing untracked.
-void ExpectCleanRunHasFullCoverage(SchedulingMode mode) {
-  NetworkConfig cfg;
-  cfg.width = 4;
-  cfg.height = 4;
-  cfg.scheduling = mode;
-  cfg.audit = true;
-  cfg.audit_interval = 1;
-  Network net(cfg);
-  OpenLoopConfig tcfg;
-  tcfg.pattern = TrafficPattern::kUniformRandom;
-  tcfg.injection_rate = 0.2;
-  tcfg.packet_size = 3;
-  OpenLoopTraffic traffic(net, tcfg);
-  for (int c = 0; c < 1000; ++c) {
-    traffic.Tick();
-    net.Tick();
-  }
-  ASSERT_TRUE(net.Drain(10000));
-  const AuditReport r = net.AuditResults();
-  EXPECT_TRUE(r.clean())
-      << SchedulingModeName(mode) << ": "
-      << (r.samples.empty() ? std::string() : r.samples[0].detail);
-}
-
+// in place, so every plane matches the objects at every snapshot — and
+// the coverage sweep adds no audit checks, so the report equals full's.
 TEST(SchedulingCoverageTest, CleanRunHasFullCoverage) {
-  ExpectCleanRunHasFullCoverage(SchedulingMode::kActiveSet);
-}
-
-TEST(SchedulingCoverageTest, CleanRunHasFullCoverageUnderEvent) {
-  ExpectCleanRunHasFullCoverage(SchedulingMode::kEvent);
-}
-
-// --- snapshot/resume under event scheduling --------------------------------
-
-// Saving mid-run and restoring into a fresh event-mode network must resume
-// bit-identically: the event queue (heap order included) round-trips, so
-// the resumed run's serialized state equals the uninterrupted run's.
-TEST(SchedulingSnapshotTest, EventModeResumesBitIdentically) {
-  NetworkConfig cfg;
-  cfg.width = 4;
-  cfg.height = 4;
-  cfg.num_vcs = 4;
-  cfg.vc_depth = 4;
-  cfg.vc_policy = VcPolicyKind::kDynamic;
-  cfg.dynamic_epoch = 64;
-  cfg.scheduling = SchedulingMode::kEvent;
-
-  struct Sink : PacketSink {
-    bool Accept(const Packet&, Cycle) override { return true; }
-  } sink;
-  const auto make_net = [&] {
-    auto net = std::make_unique<Network>(cfg);
-    for (NodeId n = 0; n < net->num_nodes(); ++n) net->SetSink(n, &sink);
-    return net;
-  };
-  // Deterministic all-to-all burst: plenty of contention mid-flight.
-  const auto inject_burst = [](Network& net) {
-    for (NodeId n = 0; n < net.num_nodes(); ++n) {
-      Packet p;
-      p.src = n;
-      p.dst = net.num_nodes() - 1 - n;
-      if (p.dst == p.src) continue;
-      p.type = PacketType::kReadRequest;
-      p.num_flits = 4;
-      ASSERT_TRUE(net.Inject(p));
+  const auto run = [](SchedulingMode mode) {
+    NetworkConfig cfg;
+    cfg.width = 4;
+    cfg.height = 4;
+    cfg.vc_policy = VcPolicyKind::kDynamic;
+    cfg.dynamic_epoch = 64;
+    cfg.scheduling = mode;
+    cfg.audit = true;
+    cfg.audit_interval = 1;
+    Network net(cfg);
+    OpenLoopConfig tcfg;
+    tcfg.pattern = TrafficPattern::kUniformRandom;
+    tcfg.injection_rate = 0.2;
+    tcfg.packet_size = 3;
+    OpenLoopTraffic traffic(net, tcfg);
+    for (int c = 0; c < 1000; ++c) {
+      traffic.Tick();
+      net.Tick();
     }
+    EXPECT_TRUE(net.Drain(10000));
+    return net.AuditResults();
   };
-  const auto fingerprint = [](Network& net) {
-    Serializer out;
-    net.Save(out);
-    return out.TakeBytes();
-  };
+  const AuditReport soa = run(SchedulingMode::kSoa);
+  EXPECT_TRUE(soa.clean())
+      << (soa.samples.empty() ? std::string() : soa.samples[0].detail);
+  EXPECT_EQ(soa.checks, run(SchedulingMode::kFull).checks);
+}
 
-  // Uninterrupted run: burst, then 500 cycles (drains and then idles over
-  // several dynamic-epoch boundaries).
-  auto plain = make_net();
-  inject_burst(*plain);
-  for (int c = 0; c < 500; ++c) plain->Tick();
+// --- cost floor ------------------------------------------------------------
 
-  // Interrupted run: snapshot at cycle 10 while flits are in flight,
-  // restore into a fresh network, replay the remaining cycles.
-  auto first = make_net();
-  inject_burst(*first);
-  for (int c = 0; c < 10; ++c) first->Tick();
-  ASSERT_GT(first->FlitsInFlight(), 0u) << "snapshot caught an idle instant";
-  Serializer s;
-  first->Save(s);
+// An idle SoA network ticks no routers and visits no channels: the only
+// per-cycle component steps are the NIC ticks (the SoA core keeps NICs on
+// the dense object path; see DESIGN.md §14).
+TEST(SoaCostTest, IdleNetworkTicksOnlyNics) {
+  NetworkConfig cfg;
+  cfg.scheduling = SchedulingMode::kSoa;
+  Network soa(cfg);
+  for (int c = 0; c < 1000; ++c) soa.Tick();
 
-  auto second = make_net();
-  Deserializer d(s.bytes());
-  second->Load(d);
-  d.Finish();
-  EXPECT_GT(second->FlitsInFlight(), 0u);
-  for (int c = 0; c < 490; ++c) second->Tick();
+  cfg.scheduling = SchedulingMode::kFull;
+  Network full(cfg);
+  for (int c = 0; c < 1000; ++c) full.Tick();
 
-  EXPECT_EQ(fingerprint(*plain), fingerprint(*second));
-  EXPECT_EQ(plain->TickSteps(), second->TickSteps());
+  // 64 NIC steps per cycle, nothing else — well under full mode's
+  // every-component bill.
+  EXPECT_EQ(soa.TickSteps(), 1000u * 64u);
+  EXPECT_GT(full.TickSteps(), soa.TickSteps());
 }
 
 // --- route LUT -------------------------------------------------------------
